@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-supervised multiproc chaos-multiproc chaos-partial chaos-corrupt chaos-partition chaos-jobs stats-smoke bench bench-json fuzz
+.PHONY: all build vet test race chaos chaos-supervised multiproc chaos-multiproc chaos-partial chaos-corrupt chaos-partition chaos-jobs stats-smoke bench bench-json bench-smoke bench-compare fuzz
 
-all: vet build test
+all: vet build test bench-smoke
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,28 @@ bench:
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_core.json
 
+# The repository benchmark (bench/, its own module — the root ./...
+# patterns do not descend into it): vet it, run its tests, and drive
+# every workload once at smoke sizes. Touches no tracked file.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	$(GO) run -C bench . -quick
+
+# Before/after in one command: the full suite at BASE (in a throwaway
+# worktree; HEAD when unset, i.e. what the working tree changed) and at
+# the working tree, then the committed bounds. Each suite run appends
+# its medians to its own tree's bench/BENCH_history.jsonl, by the
+# benchmark's design.
+BENCH_CMP := $(CURDIR)/.bench_compare
+bench-compare:
+	rm -rf $(BENCH_CMP) && git worktree prune && mkdir -p $(BENCH_CMP)
+	git worktree add --detach $(BENCH_CMP)/base $(BASE)
+	$(GO) run -C $(BENCH_CMP)/base/bench . -out $(BENCH_CMP)/base.json; \
+		st=$$?; git worktree remove --force $(BENCH_CMP)/base; exit $$st
+	$(GO) run -C bench . -out $(BENCH_CMP)/head.json
+	$(GO) run -C bench . -compare $(BENCH_CMP)/base.json $(BENCH_CMP)/head.json
+
 # Fuzz smoke: the wire codec, the payload codec seam (binary decoder
 # totality + gob-fallback dispatch), and the journal/checkpoint codec
 # each get a short randomized hammering (longer runs: raise -fuzztime).
@@ -132,5 +154,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzPayloadCodec -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/core

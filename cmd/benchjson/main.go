@@ -55,14 +55,6 @@ type record struct {
 	// wire path (gob, one write per frame).
 	TCPLoopbackOverheadPct   float64 `json:"tcp_loopback_overhead_pct"`
 	TCPLoopbackGobNoBatchPct float64 `json:"tcp_loopback_gob_nobatch_pct"`
-	// TCPLoopbackDataPushPct is the same paired overhead with
-	// Config.DataPush on: ghost data shipped proactively at publication
-	// instead of demand-pulled. On a single-core host this sits above
-	// the pull number — the symmetric enumeration makes every process
-	// analyze every launch point, and with one shard per process that
-	// replicated analysis costs more than the saved request frames. The
-	// row is kept as an honest ablation, not the default.
-	TCPLoopbackDataPushPct float64 `json:"tcp_loopback_datapush_pct"`
 	// TCPCRCOverheadPct is the stencil@4 TCP-loopback slowdown of the
 	// per-frame CRC32C integrity pair (header CRC + payload CRC, written
 	// on send and verified on receive) versus the same wire path with
@@ -173,7 +165,7 @@ func stageBreakdown(shards, tiles, steps int) (map[string]int64, error) {
 	stages := make(map[string]int64)
 	for _, path := range []string{
 		"attempt", "coarse/analysis", "fine/fence_wait", "fine/analysis",
-		"execute/point", "execute/pull_wire", "execute/push_wire", "collective",
+		"execute/point", "execute/pull_wire", "collective",
 	} {
 		if s := snap.Find(path); s != nil {
 			stages[path] = s.TotalNs
@@ -194,7 +186,7 @@ func stageBreakdown(shards, tiles, steps int) (map[string]int64, error) {
 // reproduces the historical one-write-per-frame wire path; noCRC
 // disables frame checksumming on every endpoint (the integrity-cost
 // ablation — never a production configuration).
-func runStencilTCP(shards, tiles, steps int, codec godcr.PayloadCodec, noCoalesce, push, noCRC bool) error {
+func runStencilTCP(shards, tiles, steps int, codec godcr.PayloadCodec, noCoalesce, noCRC bool) error {
 	lns := make([]net.Listener, shards)
 	addrs := make([]string, shards)
 	for i := range lns {
@@ -214,7 +206,7 @@ func runStencilTCP(shards, tiles, steps int, codec godcr.PayloadCodec, noCoalesc
 		if err != nil {
 			return err
 		}
-		rts[i] = godcr.NewRuntime(godcr.Config{Shards: shards, Transport: tr, DataPush: push})
+		rts[i] = godcr.NewRuntime(godcr.Config{Shards: shards, Transport: tr})
 		registerStencilTasks(rts[i])
 	}
 	var wg sync.WaitGroup
@@ -677,15 +669,15 @@ func main() {
 	// in-process baseline so the ratio compares code paths, not load
 	// windows. The remaining cells are per-dimension breakdowns, each
 	// paired against the same baseline for a window-free ratio.
-	pairOverhead := func(name string, codec godcr.PayloadCodec, noCoalesce, push bool) (result, float64) {
+	pairOverhead := func(name string, codec godcr.PayloadCodec, noCoalesce bool) (result, float64) {
 		mem, tcp := benchPair(
 			"stencil/shards=4/transport=mem/paired-vs-"+name,
 			func() error { return runStencil(godcr.Config{Shards: 4}, 8, steps) },
 			"stencil/shards=4/transport=tcp-loopback/"+name,
-			func() error { return runStencilTCP(4, 8, steps, codec, noCoalesce, push, false) })
+			func() error { return runStencilTCP(4, 8, steps, codec, noCoalesce, false) })
 		return tcp, 100 * (float64(tcp.NsPerOp) - float64(mem.NsPerOp)) / float64(mem.NsPerOp)
 	}
-	tcpDefault, defaultPct := pairOverhead("codec=binary/batching=on", godcr.CodecBinary, false, false)
+	tcpDefault, defaultPct := pairOverhead("codec=binary/batching=on", godcr.CodecBinary, false)
 	rec.Results = append(rec.Results, tcpDefault)
 	for _, w := range []struct {
 		name       string
@@ -697,15 +689,12 @@ func main() {
 	} {
 		w := w
 		rec.Results = append(rec.Results, bench("stencil/shards=4/transport=tcp-loopback/"+w.name,
-			func() error { return runStencilTCP(4, 8, steps, w.codec, w.noCoalesce, false, false) }))
+			func() error { return runStencilTCP(4, 8, steps, w.codec, w.noCoalesce, false) }))
 	}
-	tcpLegacy, legacyPct := pairOverhead("codec=gob/batching=off", godcr.CodecGob, true, false)
+	tcpLegacy, legacyPct := pairOverhead("codec=gob/batching=off", godcr.CodecGob, true)
 	rec.Results = append(rec.Results, tcpLegacy)
-	tcpPush, pushPct := pairOverhead("codec=binary/batching=on/datapush=on", godcr.CodecBinary, false, true)
-	rec.Results = append(rec.Results, tcpPush)
 	rec.TCPLoopbackOverheadPct = defaultPct
 	rec.TCPLoopbackGobNoBatchPct = legacyPct
-	rec.TCPLoopbackDataPushPct = pushPct
 	// The wire-path work exists to beat the historical path; refuse to
 	// commit a record where it does not.
 	if tcpDefault.NsPerOp >= tcpLegacy.NsPerOp {
@@ -719,9 +708,9 @@ func main() {
 	// keep end-to-end frame integrity effectively free.
 	crcOff, crcOn := benchPair(
 		"stencil/shards=4/transport=tcp-loopback/crc=off",
-		func() error { return runStencilTCP(4, 8, steps, godcr.CodecBinary, false, false, true) },
+		func() error { return runStencilTCP(4, 8, steps, godcr.CodecBinary, false, true) },
 		"stencil/shards=4/transport=tcp-loopback/crc=on",
-		func() error { return runStencilTCP(4, 8, steps, godcr.CodecBinary, false, false, false) })
+		func() error { return runStencilTCP(4, 8, steps, godcr.CodecBinary, false, false) })
 	rec.Results = append(rec.Results, crcOff, crcOn)
 	rec.TCPCRCOverheadPct = 100 * (float64(crcOn.NsPerOp) - float64(crcOff.NsPerOp)) / float64(crcOff.NsPerOp)
 	if rec.TCPCRCOverheadPct >= 3 {

@@ -202,6 +202,9 @@ type (
 	// all-gather vote's culprit shard, the first divergent op index,
 	// and the majority/minority digests at that op.
 	DivergenceError = core.DivergenceError
+	// PullError is the abort cause for a pull reply or request that does
+	// not match the batch it belongs to.
+	PullError = core.PullError
 	// SupervisorPolicy tunes Runtime.RunSupervised's restart loop.
 	SupervisorPolicy = core.SupervisorPolicy
 	// SupervisorEvent observes one supervised restart (OnEvent).

@@ -416,6 +416,13 @@ func (c *Cluster) Err() error {
 	return nil
 }
 
+// Done returns a channel that is closed when the current epoch ends: by
+// Interrupt, whether raised here or relayed from a peer process, or by
+// Close. A revive installs a fresh channel, so a caller captures it at
+// the start of the work the interrupt must cancel — waiters that sit on
+// their own events rather than in a Recv learn of the interrupt here.
+func (c *Cluster) Done() <-chan struct{} { return c.stopChan() }
+
 // Epoch returns the current transport epoch (0 until the first Revive).
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 

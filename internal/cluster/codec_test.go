@@ -66,7 +66,7 @@ func TestBinaryGoldenVectors(t *testing.T) {
 }
 
 // TestDataFrameGolden pins the full on-the-wire image of a TCP data
-// frame: u32 length prefix, 34-byte v3 header, header CRC32C, codec-ID
+// frame: u32 length prefix, 34-byte v4 header, header CRC32C, codec-ID
 // byte, payload, payload CRC32C.
 func TestDataFrameGolden(t *testing.T) {
 	f := Frame{Kind: frameData, Epoch: 1, Tag: 0xFA00000000000001, Seq: 5, From: 2, To: 3, Payload: float64(1.5)}
@@ -76,13 +76,13 @@ func TestDataFrameGolden(t *testing.T) {
 	}
 	want, _ := hex.DecodeString(
 		"34000000" + // length prefix: 34B header + 4B hdr CRC + 10B body + 4B payload CRC
-			"03" + // frame version 3
+			"04" + // frame version 4
 			"01" + // kind: data
 			"0100000000000000" + // epoch
 			"01000000000000fa" + // tag
 			"0500000000000000" + // seq
 			"02000000" + "03000000" + // from, to
-			"f4b420b6" + // CRC32C over prefix + header
+			"327103cb" + // CRC32C over prefix + header
 			"01" + // codec ID: binary
 			"06000000000000f83f" + // float64 1.5
 			"cf0babac") // CRC32C over the payload
@@ -115,18 +115,19 @@ func TestDataFrameGolden(t *testing.T) {
 
 // TestFrameVersionPins documents the compatibility story: data-frame
 // payloads grew a codec-ID prefix in v2 and frames grew header and
-// payload CRC32C fields in v3, so an old peer parsing a new stream (or
-// vice versa) would mis-read bytes. The version byte makes the
-// mismatch a loud, immediate connection error instead.
+// payload CRC32C fields in v3, and the pull payloads became batches in
+// v4, so an old peer parsing a new stream (or vice versa) would
+// mis-read bytes. The version byte makes the mismatch a loud,
+// immediate connection error instead.
 func TestFrameVersionPins(t *testing.T) {
-	if frameVersion != 3 {
-		t.Fatalf("frameVersion = %d; golden vectors in this file pin version 3 — regenerate them with the bump", frameVersion)
+	if frameVersion != 4 {
+		t.Fatalf("frameVersion = %d; golden vectors in this file pin version 4 — regenerate them with the bump", frameVersion)
 	}
 	f := Frame{Kind: frameData, From: 0, To: 1}
 	b := appendFrame(nil, &f, nil)
 	b[framePrefixLen] = 2 // a v2 sender's header
 	if _, _, err := decodeFrame(b); err == nil {
-		t.Fatal("v2 frame accepted by v3 decoder")
+		t.Fatal("v2 frame accepted by v4 decoder")
 	}
 }
 

@@ -168,7 +168,7 @@ type WireCorrupter interface {
 // The wire format is a length-prefixed versioned binary frame:
 //
 //	u32  length L of everything after this prefix
-//	u8   version (currently 3)
+//	u8   version (currently 4)
 //	u8   kind (data / interrupt / revive / hello / revive-ack / epoch-req / epoch-ack)
 //	u64  epoch
 //	u64  tag
@@ -181,10 +181,11 @@ type WireCorrupter interface {
 //
 // A data frame's payload opens with the one-byte ID of the payload
 // codec that produced the rest (see codec.go); control frames carry
-// raw metadata bytes. Version 2 frames carried no checksums — the
-// version bump makes the change loud: a v2 endpoint decoding a v3
-// stream (or vice versa) rejects the first frame and drops the
-// connection instead of misparsing payloads.
+// raw metadata bytes. Version 2 frames carried no checksums, and version
+// 3 peers speak the single-piece layout of the pull payloads (0x40,
+// 0x41; version 4 batches them) — the version bump makes each change
+// loud: an endpoint decoding another version's stream rejects the first
+// frame and drops the connection instead of misparsing payloads.
 //
 // The two CRCs (Castagnoli polynomial, hardware-accelerated via
 // hash/crc32) split corruption into two regimes. The header CRC covers
@@ -201,7 +202,7 @@ type WireCorrupter interface {
 // larger than the input (FuzzFrameDecode).
 
 const (
-	frameVersion   = 3
+	frameVersion   = 4
 	framePrefixLen = 4
 	frameHeaderLen = 1 + 1 + 8 + 8 + 8 + 4 + 4
 	// frameCRCLen is the width of each of the two CRC32C fields.

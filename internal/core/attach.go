@@ -166,13 +166,22 @@ func (fs *fineStage) handleAttach(o *op) {
 		}
 		return
 	}
-	// Detach: owners flush their pieces.
+	// Detach: owners flush their pieces, whose remote sources share one
+	// batch per owner like a launch's.
+	var mine []attachPiece
+	var sources [][]sourcePiece
+	pulls := fs.fetch.gather()
 	for _, pc := range pieces {
 		if pc.owner != fs.ctx.shard {
 			continue
 		}
 		srcs := fs.resolveRead(a.root, a.field, pc.rect)
-		pc := pc
+		pulls.add(srcs)
+		mine, sources = append(mine, pc), append(sources, srcs)
+	}
+	pulls.send()
+	for i, pc := range mine {
+		srcs := sources[i]
 		fs.exec.inflight.Add(1)
 		go func() {
 			defer fs.exec.inflight.Done()

@@ -199,13 +199,20 @@ func (fs *fineStage) handleLaunchCentral(o *op) {
 		// Every point's result routes back to the controller's map.
 		ls.fm.expectLocal(len(all))
 	}
+	var local []*pointTask
+	pulls := fs.fetch.gather()
 	for _, pt := range all {
 		plans := fs.planPoint(o, ls, pt.p)
 		if pt.owner == fs.ctx.shard {
-			fs.exec.submit(&pointTask{o: o, ls: ls, point: pt.p, plans: plans})
+			local = append(local, &pointTask{o: o, ls: ls, point: pt.p, plans: plans})
+			pulls.addPlans(plans)
 		} else {
 			fs.dispatchRemote(o, ls, pt.owner, pt.p, plans)
 		}
+	}
+	pulls.send()
+	for _, t := range local {
+		fs.exec.submit(t)
 	}
 	// Directory update, identical to the replicated path.
 	for ri, rr := range ls.reqs {
@@ -234,6 +241,9 @@ func (fs *fineStage) handleLaunchCentral(o *op) {
 // runRemote executes a pre-analyzed task descriptor on a worker.
 func (e *executor) runRemote(rt *remoteTask) (float64, error) {
 	fn := e.ctx.rt.tasks[rt.Task]
+	pulls := e.fetch.gather()
+	pulls.addPlans(rt.Plans)
+	pulls.send()
 	tc, err := e.assembleTask(rt.Task, rt.Point, rt.Args, rt.FutureArgs, rt.Plans)
 	if err != nil {
 		return 0, err

@@ -37,8 +37,9 @@ type Context struct {
 	// every goroutine this context spawns aborts/waits against its own
 	// attempt even after Resume has started a new one.
 	rs *runState
-	// attempt salts per-attempt wire tags (future pushes, pull replies,
-	// collective generations); identical on all shards of one attempt —
+	// attempt salts per-attempt wire tags (future pushes, collective
+	// generations) and is carried in full by pull batches and their
+	// replies; identical on all shards of one attempt —
 	// across processes too: it is Runtime.salt, which remote backends
 	// derive from the rendezvoused transport epoch rather than the
 	// process-local attempt counter.
@@ -107,11 +108,6 @@ func (ctx *Context) abortErr() error                 { return ctx.rs.abortErr() 
 // satisfy the current attempt's receive.
 func (ctx *Context) futureTag(seq uint64) uint64 {
 	return futureTagBit | (ctx.attempt&0xFF)<<48 | seq
-}
-
-// pullTag is the attempt-salted wire tag of pull reply n.
-func (ctx *Context) pullTag(n uint64) uint64 {
-	return pullReplyTag | (ctx.attempt&0xFF)<<48 | n
 }
 
 // run wires the pipeline, executes the program, and drains.

@@ -27,6 +27,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -73,17 +74,6 @@ type Config struct {
 	// benchmarks; unsafe only for programs that need analysis
 	// ordering for side effects.
 	DisableFences bool
-	// DataPush enables the proactive ghost-data push path
-	// (planmemo.go): producers run the replicated fine-stage analysis
-	// for the whole launch domain and ship version rectangles to their
-	// remote readers at publication, eliminating the request leg of
-	// every remote pull. Both paths move bit-identical data. Off by
-	// default: the symmetric enumeration requires every process to
-	// analyze every point, which pays off only when co-located shards
-	// amortize the shared plan (or analysis cores are plentiful) —
-	// on a single-core host with one shard per process the replicated
-	// analysis costs more than the saved request frames.
-	DataPush bool
 	// Seed seeds the replicated random stream handed to programs.
 	Seed uint64
 	// Centralized disables control replication entirely: shard 0
@@ -212,12 +202,13 @@ type Stats struct {
 	FencesElided   uint64
 	// PointTasks counts executed point tasks (cluster-wide).
 	PointTasks uint64
-	// RemotePulls counts cross-node data fetches through the demand
-	// pull protocol (request + reply).
+	// RemotePulls counts the data pieces tasks fetched from other nodes
+	// (pieces, not messages: the pull protocol batches them per
+	// operation and owner).
 	RemotePulls uint64
-	// RemotePushes counts cross-node data transfers shipped
-	// proactively by the producer (no request leg; see planmemo.go).
-	RemotePushes uint64
+	// StaleReplies counts pull replies dropped because they answered a
+	// batch of an earlier attempt.
+	StaleReplies uint64
 	// LocalResolves counts data sources satisfied locally.
 	LocalResolves uint64
 	// TraceReplays counts operations whose analysis was skipped by
@@ -276,7 +267,7 @@ type Runtime struct {
 		fencesOut      atomic.Uint64
 		points         atomic.Uint64
 		remotePulls    atomic.Uint64
-		remotePushes   atomic.Uint64
+		staleReplies   atomic.Uint64
 		localRes       atomic.Uint64
 		replays        atomic.Uint64
 		detChecks      atomic.Uint64
@@ -293,13 +284,8 @@ type Runtime struct {
 	// abort channel while the new attempt starts from a clean one.
 	run atomic.Pointer[runState]
 
-	// planMemo is the current attempt's shared full-domain plan cache
-	// and push-tag allocator (planmemo.go); replaced at every attempt
-	// boundary.
-	planMemo atomic.Pointer[planMemo]
-
 	// attempt counts Execute/Resume attempts; it salts per-attempt wire
-	// tags (future pushes, pull replies, collective spaces) so traffic
+	// tags (future pushes, collective spaces) and pull batches so traffic
 	// from an aborted attempt can never be mistaken for the current
 	// one's after the transport is revived.
 	attempt atomic.Uint64
@@ -349,12 +335,9 @@ type Runtime struct {
 	partial  partialState
 	lastPlan atomic.Pointer[partialPlan]
 
-	// lastEpoch is the transport epoch the most recent attempt ran in.
-	// A resume compares it with the cluster's current epoch to decide
-	// between minting a recovery epoch (Revive — the epoch has not
-	// moved, this process leads the wave) and adopting one a peer
-	// already minted (Rejoin — resuming into it instead of superseding
-	// it keeps a cluster-wide failure wave convergent).
+	// lastEpoch is the transport epoch the most recent attempt ran in:
+	// the floor a resume that found itself superseded passes to Rejoin
+	// (see the heal step in execute for mint versus rejoin).
 	lastEpoch atomic.Uint64
 
 	// localShards lists the shard ids this process drives, ascending;
@@ -475,7 +458,7 @@ func (rt *Runtime) Stats() Stats {
 		FencesElided:      rt.stats.fencesOut.Load(),
 		PointTasks:        rt.stats.points.Load(),
 		RemotePulls:       rt.stats.remotePulls.Load(),
-		RemotePushes:      rt.stats.remotePushes.Load(),
+		StaleReplies:      rt.stats.staleReplies.Load(),
 		LocalResolves:     rt.stats.localRes.Load(),
 		TraceReplays:      rt.stats.replays.Load(),
 		DeterminismChecks: rt.stats.detChecks.Load(),
@@ -572,6 +555,11 @@ func (rt *Runtime) abortFromPeer(rs *runState, err error) {
 func (rt *Runtime) Kill(reason string) {
 	rt.abort(fmt.Errorf("%w: core: job killed: %s", cluster.ErrInterrupted, reason))
 }
+
+// errSuperseded marks the abort of an attempt that found the cluster in
+// a newer epoch than its own. Its resume adopts that epoch; every other
+// failure mints a new one (see execute).
+var errSuperseded = errors.New("core: attempt superseded by a newer epoch")
 
 // abortLocalOn is abortOn for an attempt that discovered it is stale —
 // the cluster has already moved past its epoch. The local endpoints
@@ -714,12 +702,19 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 		// new epoch and discard dead-epoch traffic. A healthy transport
 		// needs no healing — a checkpoint loaded from disk into a fresh
 		// process (Config.CheckpointDir) resumes in the current epoch.
-		// When a peer already minted a newer epoch than the failed
-		// attempt's, adopt it (Rejoin) instead of minting yet another:
-		// one mint per failure wave is what lets the cluster's resumes
-		// converge instead of perpetually superseding each other. A
-		// process's first attempt always mints — a reborn process must
-		// force the fresh-epoch rendezvous its rebirth announced.
+		// When the failed attempt found itself superseded — the cluster
+		// had moved to a newer epoch under it and it poisoned only its own
+		// endpoints to unwind — adopt that epoch (Rejoin) instead of
+		// minting yet another: the peers are healthy in it. Any other
+		// poison means the current epoch is the one being abandoned, even
+		// when it is newer than the failed attempt's: a peer's abort
+		// relayed into it reaches a lagging process first, and a laggard
+		// that rejoined it would trail the cluster by one epoch for ever,
+		// convicted once per round by a detector that cannot hear it.
+		// Minting is safe from any number of processes at once: they all
+		// mint the same successor. A process's first attempt always mints
+		// — a reborn process must force the fresh-epoch rendezvous its
+		// rebirth announced.
 		//
 		// A scoped job's failures never poison the shared transport, so
 		// normally there is nothing to heal; if a cluster-wide fault
@@ -732,7 +727,7 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 				}
 			} else {
 				joined := false
-				if rt.attempt.Load() > 1 {
+				if rt.attempt.Load() > 1 && errors.Is(rt.clust.Err(), errSuperseded) {
 					epoch, joined = rt.clust.Rejoin(rt.lastEpoch.Load())
 				}
 				if !joined {
@@ -852,11 +847,6 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 		}
 	}
 	rt.lastPlan.Store(plan)
-	// Fresh plan memo and push-tag counters for the attempt; the salt
-	// folds into every push tag so a straggler's push from a failed
-	// attempt can never satisfy this attempt's receive.
-	rt.planMemo.Store(newPlanMemo(salt, len(rt.localShards), rt.cfg.Shards))
-
 	// Wall-clock periodic checkpoints (op-count cuts live on shard 0's
 	// coarse stage, see coarse.run).
 	var cpStop chan struct{}
@@ -878,6 +868,30 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 		}()
 	}
 
+	// A transport interrupt aborts the attempt. Stages notice one in their
+	// next Send or Recv, but tasks wait for pull batches on events: with
+	// every stage in exec.quiesce or the program thread on a future,
+	// nothing touches the transport, and a peer process's abort would
+	// otherwise never arrive. The abort is pinned to rs and local — the
+	// transport is poisoned already, and should a revive have raced the
+	// interrupt, a stale attempt must not take the new epoch's peers down.
+	// The watch starts here, with the tasks it exists for: the restart-
+	// scope exchange above handles an interrupt, or a revive overtaking
+	// one, at its own round boundaries.
+	attemptDone := make(chan struct{})
+	go func(interrupted <-chan struct{}) {
+		select {
+		case <-attemptDone:
+		case <-rs.abortCh:
+		case <-interrupted:
+			err := rt.clust.Err()
+			if err == nil { // a revive overtook the interrupt (or Close)
+				err = fmt.Errorf("%w: %w", cluster.ErrInterrupted, errSuperseded)
+			}
+			rt.abortLocalOn(rs, err)
+		}
+	}(rt.clust.Done())
+
 	// One replica goroutine per *local* shard: on the in-process backend
 	// that is all of them; with a remote transport the peer processes
 	// drive theirs, and the collective fabric spans the wire.
@@ -898,6 +912,7 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 	// the attempt's error slot before Execute returns. The watchdog
 	// stays armed as the backstop in case a vote peer never shows.
 	rs.votes.Wait()
+	close(attemptDone)
 	if hbStop != nil {
 		hbStop()
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // The executor runs point tasks as dataflow. Each task gets its own
-// goroutine for input assembly (pulling versioned data can block on
-// remote producers), but actual compute is gated by a semaphore sized
+// goroutine for input assembly (waiting for versioned data can block on
+// producers), but actual compute is gated by a semaphore sized
 // to the node's processor count. Assembly is never gated — a bounded
 // worker pool could otherwise deadlock with every worker blocked on a
 // producer stuck behind it in the queue.
@@ -41,19 +41,18 @@ type sourcePiece struct {
 	key     verKey
 	owner   int
 	reds    []redPull
-	// pushTag, when nonzero, is the wire tag the remote owner pushes
-	// this piece under (see planmemo.go); the consumer receives instead
-	// of pulling. Attempt-local: never serialized, never traced.
-	pushTag uint64
+	// slot is where a remote piece's values land (see pullGather);
+	// zero for fills and local pieces.
+	slot pullSlot
 }
 
 // redPull is one reduction contribution to fold into a piece.
 type redPull struct {
-	rect    geom.Rect
-	key     verKey
-	owner   int
-	op      instance.ReduceOp
-	pushTag uint64 // as sourcePiece.pushTag
+	rect  geom.Rect
+	key   verKey
+	owner int
+	op    instance.ReduceOp
+	slot  pullSlot // as sourcePiece.slot
 }
 
 // pointTask is one executable point of a launch.
@@ -246,77 +245,24 @@ func (e *executor) publishPlans(tc *TaskContext, seq uint64, point geom.Point, p
 	}
 }
 
-// assemble initializes an instance from its resolved source pieces.
-// Remote pieces arrive one of two ways: pushed pieces (pushTag set)
-// were announced by the replicated analysis and the owner ships them
-// unprompted — the consumer just receives on the pre-agreed tag.
-// Pulled pieces go through the demand protocol in two phases so a
-// task with several remote sources overlaps the round trips: phase
-// one issues every pull request in source order, phase two applies
-// the pieces in that same order, blocking for each reply as it is
-// needed. The apply order is identical to the naive fetch-then-apply
-// loop, so outputs stay bit-identical; replies are matched by unique
-// tag, so out-of-order arrival is safe.
+// assemble initializes an instance from its resolved source pieces, in
+// source order (reductions folded right after their piece), so outputs
+// are bit-identical whatever order the data arrived in. Remote pieces
+// were requested before the task started (pullGather); assembling only
+// waits for their batches.
 func (e *executor) assemble(inst *instance.Instance, sources []sourcePiece) error {
-	remote := func(owner int, rect geom.Rect) bool {
-		return owner != e.ctx.shard && !rect.Empty()
-	}
-	var pending []pendingPull
-	for _, src := range sources {
-		if !src.fill && src.pushTag == 0 && remote(src.owner, src.rect) {
-			p, err := e.fetch.start(src.key, src.owner, src.rect)
-			if err != nil {
-				return err
-			}
-			pending = append(pending, p)
-		}
-		for _, red := range src.reds {
-			if red.pushTag == 0 && remote(red.owner, red.rect) {
-				p, err := e.fetch.start(red.key, red.owner, red.rect)
-				if err != nil {
-					return err
-				}
-				pending = append(pending, p)
-			}
-		}
-	}
-	pi := 0
-	resolve := func(key verKey, owner int, rect geom.Rect, pushTag uint64) ([]float64, error) {
-		if remote(owner, rect) {
-			var p pendingPull
-			tm := e.ctx.tm.pull
-			if pushTag != 0 {
-				p = pendingPull{tag: pushTag, owner: owner}
-				tm = e.ctx.tm.push
-			} else {
-				p = pending[pi]
-				pi++
-			}
-			// A reply that already arrived cost zero wire wait: take it
-			// without a span (the wire timers price blocking, and a
-			// span here would be pure overhead on the hot path).
-			if vals, ok, err := e.fetch.tryWait(p); ok {
-				return vals, err
-			}
-			start := tm.Start()
-			vals, err := e.fetch.wait(p)
-			tm.Stop(start)
-			return vals, err
-		}
-		return e.fetch.fetch(key, owner, rect)
-	}
 	for _, src := range sources {
 		if src.fill {
 			inst.Fill(src.rect, src.fillVal)
 		} else {
-			vals, err := resolve(src.key, src.owner, src.rect, src.pushTag)
+			vals, err := e.fetch.resolve(src.key, src.owner, src.rect, src.slot)
 			if err != nil {
 				return err
 			}
 			inst.Apply(src.rect, vals)
 		}
 		for _, red := range src.reds {
-			vals, err := resolve(red.key, red.owner, red.rect, red.pushTag)
+			vals, err := e.fetch.resolve(red.key, red.owner, red.rect, red.slot)
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"godcr/internal/cluster"
@@ -18,10 +19,12 @@ import (
 // stage inserted (an all-gather with no payload). It then evaluates
 // the sharding functor to find the point tasks this shard owns,
 // resolves each point's data sources against the per-field
-// write-index directory, submits them to the executor, and finally
-// paints the directory with the operation's writes — for *all* points,
-// not just local ones, so any shard can locate any producer (legal
-// because projection and sharding functors are pure).
+// write-index directory, asks each remote owner once for everything
+// those points need from it (store.go), submits the points to the
+// executor, and finally paints the directory with the operation's
+// writes — for *all* points, not just local ones, so any shard can
+// locate any producer (legal because projection and sharding functors
+// are pure).
 
 // fineRec is one painted write in the directory: which operation
 // produced this rectangle, at which point, executing on which shard.
@@ -81,11 +84,8 @@ func newFineStage(ctx *Context) *fineStage {
 		// Survivor of a partial restart: adopt the retained versioned
 		// store wholesale. The rejoiner's pulls for gap ops are answered
 		// from it by the ordinary pull protocol, and this shard's own
-		// re-run skips every task whose outputs it already holds. Push
-		// registrations from the failed attempt are dead (their tags
-		// are salted to it) — drop them before they can drain.
+		// re-run skips every task whose outputs it already holds.
 		st = ctx.retained.store
-		st.clearPushes()
 	}
 	f := newFetcher(ctx, st)
 	fs := &fineStage{
@@ -209,22 +209,6 @@ func (fs *fineStage) run(in <-chan *op) {
 	}
 }
 
-// pushOK reports whether proactive data pushes are in force for the
-// op being processed. Every input is replicated state evaluated at
-// the same position in the op stream, so all shards agree per op:
-// pushes require the opt-in Config.DataPush, and are off in
-// centralized mode (workers get plans from the controller), inside a
-// partial-restart replay window (survivors replay-skip tasks, so the
-// symmetric-enumeration invariant does not hold until the catch-up
-// rendezvous), and under trace replay (the recorded plans predate
-// this attempt's tag counters).
-func (fs *fineStage) pushOK() bool {
-	return fs.ctx.rt.cfg.DataPush &&
-		!fs.ctx.rt.cfg.Centralized &&
-		fs.window == nil &&
-		fs.traces.mode() != traceReplay
-}
-
 // pointRect returns the rectangle requirement ri of launch ls touches
 // at point p.
 func (fs *fineStage) pointRect(ls *launchState, ri int, p geom.Point) geom.Rect {
@@ -309,29 +293,9 @@ func (fs *fineStage) handleLaunch(o *op) {
 		}
 	}
 	if plans == nil {
-		if fs.pushOK() {
-			// Full-domain analysis from the per-process memo: this
-			// shard's plans come out of it, and so does the list of
-			// pieces this shard owes remote consumers — register them
-			// so publication (or retention, if already published)
-			// pushes the data without waiting for a request.
-			entry := fs.ctx.rt.planMemo.Load().get(fs, o, ls)
-			plans = make([][]fieldPlan, 0, len(pts))
-			for i, own := range entry.owners {
-				if own == fs.ctx.shard {
-					plans = append(plans, entry.plans[i])
-				}
-			}
-			for _, pr := range entry.pushes[fs.ctx.shard] {
-				if sv, ready := fs.store.addPush(pr.key, pr); ready {
-					fs.fetch.sendPush(sv, pr)
-				}
-			}
-		} else {
-			plans = make([][]fieldPlan, len(pts))
-			for pi, p := range pts {
-				plans[pi] = fs.planPoint(o, ls, p)
-			}
+		plans = make([][]fieldPlan, len(pts))
+		for pi, p := range pts {
+			plans[pi] = fs.planPoint(o, ls, p)
 		}
 		switch mode {
 		case traceRecording:
@@ -344,11 +308,22 @@ func (fs *fineStage) handleLaunch(o *op) {
 	if !ls.single {
 		ls.fm.expectLocal(len(pts))
 	}
+	// Ask every owner once for everything the points that actually run
+	// need from it, before the first of them starts (replay-skipped
+	// points contribute nothing). The gather writes slots into the
+	// plans, so it comes after the trace recorded them above.
+	tasks := make([]*pointTask, 0, len(pts))
+	pulls := fs.fetch.gather()
 	for pi, p := range pts {
 		if fs.replaySkip(o, ls, p) {
 			continue
 		}
-		fs.exec.submit(&pointTask{o: o, ls: ls, point: p, plans: plans[pi]})
+		tasks = append(tasks, &pointTask{o: o, ls: ls, point: p, plans: plans[pi]})
+		pulls.addPlans(plans[pi])
+	}
+	pulls.send()
+	for _, t := range tasks {
+		fs.exec.submit(t)
 	}
 
 	// Directory update for every point of every writing requirement.
@@ -465,14 +440,13 @@ func (fs *fineStage) resolveRead(root region.RegionID, f region.FieldID, rect ge
 	// entry positions between structurally identical iterations, so
 	// sort by rectangle for deterministic assembly and stable trace
 	// validation (the pieces are disjoint, so Lo is a total key).
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].rect, out[j].rect
-		for d := 0; d < a.Dim; d++ {
-			if a.Lo[d] != b.Lo[d] {
-				return a.Lo[d] < b.Lo[d]
+	slices.SortFunc(out, func(a, b sourcePiece) int {
+		for d := 0; d < a.rect.Dim; d++ {
+			if c := cmp.Compare(a.rect.Lo[d], b.rect.Lo[d]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	return out
 }
@@ -504,6 +478,7 @@ func (fs *fineStage) handleInline(o *op) {
 	srcs := fs.resolveRead(in.root, in.field, in.region.Bounds)
 	bounds := in.region.Bounds
 	res := in.result
+	fs.fetch.pull(srcs)
 	fs.exec.inflight.Add(1)
 	go func() {
 		defer fs.exec.inflight.Done()

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"godcr/internal/cluster"
+	"godcr/internal/geom"
 )
 
 // journalSeeds runs a real journaled program and returns the encoded
@@ -86,6 +90,59 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		if cp2.Frontier != cp.Frontier || cp2.Ctl != cp.Ctl || cp2.Shards != cp.Shards {
 			t.Fatalf("round-trip changed checkpoint: %+v vs %+v", cp2, cp)
+		}
+	})
+}
+
+// FuzzWireDecode hammers the decoders of the pull messages — the only
+// payloads whose length fields (item count, value count) a peer chooses
+// — seeded with real encodings under both payload codecs. Arbitrary
+// bytes must error, never panic or allocate past the input; whatever
+// the binary codec accepts must re-encode to a fixed point.
+func FuzzWireDecode(f *testing.F) {
+	seeds := []any{
+		pullReq{Attempt: 257, Batch: 3, From: 1, Items: []pullItem{
+			{Key: verKey{Seq: 7, Point: geom.Pt1(2), Root: 1, Field: 0}, Rect: geom.R1(15, 15)},
+			{Key: verKey{Seq: 6, Point: geom.Pt1(4), Root: 1, Field: 1}, Rect: geom.R1(64, 79)},
+		}},
+		pullReq{Attempt: 1, Batch: 1},
+		pullResp{Attempt: 257, Batch: 3, Items: 2, Vals: []float64{1, 0.5, -2}},
+		pullResp{Attempt: 1, Batch: 1},
+	}
+	for _, v := range seeds {
+		bin, err := cluster.CodecBinary.Append(nil, v)
+		if err != nil {
+			f.Fatalf("seed %T: %v", v, err)
+		}
+		f.Add(bin)
+		gob, err := cluster.EncodeWire(v)
+		if err != nil {
+			f.Fatalf("seed %T: %v", v, err)
+		}
+		f.Add(gob)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{wireTagPullReq, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, _ = cluster.DecodeWire(b)
+		v, err := cluster.CodecBinary.Decode(b)
+		if err != nil {
+			return
+		}
+		re, err := cluster.CodecBinary.Append(nil, v)
+		if err != nil {
+			t.Fatalf("re-encode of decoded value %#v: %v", v, err)
+		}
+		v2, err := cluster.CodecBinary.Decode(re)
+		if err != nil {
+			t.Fatalf("decode of re-encoded value %#v: %v", v, err)
+		}
+		re2, err := cluster.CodecBinary.Append(nil, v2)
+		if err != nil {
+			t.Fatalf("second encode of %#v: %v", v2, err)
+		}
+		if !bytes.Equal(re, re2) {
+			t.Fatalf("encoding not canonical:\n first %x\nsecond %x", re, re2)
 		}
 	})
 }

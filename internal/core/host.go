@@ -254,7 +254,11 @@ func (h *Host) closeJob(rt *Runtime) {
 	delete(h.jobs, rt.jobID)
 	h.mu.Unlock()
 	if rt.jc != nil {
-		rt.jc.Interrupt(fmt.Errorf("%w: core: job %d closed", cluster.ErrInterrupted, rt.jobID))
+		// Abort first: tasks waiting on a pull batch sit on events, which
+		// only the attempt's abort releases.
+		err := fmt.Errorf("%w: core: job %d closed", cluster.ErrInterrupted, rt.jobID)
+		rt.abortLocalOn(rt.run.Load(), err)
+		rt.jc.Interrupt(err)
 	}
 }
 

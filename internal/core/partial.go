@@ -236,8 +236,8 @@ func (rt *Runtime) decideRestartScope(rs *runState, epoch uint64) *partialPlan {
 			// the new epoch). Abort locally — recoverable, and without a
 			// broadcast that would kill the peers' healthy attempts —
 			// and resume into the newer epoch via Rejoin.
-			rt.abortLocalOn(rs, fmt.Errorf("%w: core: attempt epoch %d superseded by %d during restart-scope exchange",
-				cluster.ErrInterrupted, epoch, cur))
+			rt.abortLocalOn(rs, fmt.Errorf("%w: %w (epoch %d by %d, during the restart-scope exchange)",
+				cluster.ErrInterrupted, errSuperseded, epoch, cur))
 			return &partialPlan{}
 		}
 	}

@@ -162,3 +162,47 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("Resume with a nil program succeeded")
 	}
 }
+
+// TestResumeMintsUnlessSuperseded pins the heal rule. The cluster has
+// moved one epoch past the failed attempt's and the transport is poisoned
+// again: only when the poison is the attempt's own superseded abort are
+// the peers known healthy in that epoch, and the resume adopts it. A
+// poison from outside means that epoch is being abandoned in turn, and a
+// resume that rejoined it would trail the cluster for good — it mints.
+func TestResumeMintsUnlessSuperseded(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		poison func(c *cluster.Cluster)
+		epoch  uint64
+	}{
+		{"peer abort", func(c *cluster.Cluster) {
+			c.Interrupted("core: aborted: shard 2 down")
+		}, 2},
+		{"superseded", func(c *cluster.Cluster) {
+			c.InterruptLocal(fmt.Errorf("%w: %w", cluster.ErrInterrupted, errSuperseded))
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			rt := NewRuntime(Config{Shards: 2, Journal: true})
+			defer rt.Shutdown()
+			registerStencilTasks(rt)
+			program := stencil1DProgram(32, 4, 3, 1.0, func(_, _ []float64) error { return nil })
+			if err := rt.Execute(program); err != nil { // attempt 1, epoch 0
+				t.Fatal(err)
+			}
+			cp := rt.buildCheckpoint()
+			rt.clust.Interrupt(nil)
+			if epoch, err := rt.clust.Revive(); err != nil || epoch != 1 {
+				t.Fatalf("Revive = %d, %v", epoch, err)
+			}
+			tc.poison(rt.clust)
+			if err := rt.Resume(cp, program); err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			if got := rt.clust.Epoch(); got != tc.epoch {
+				t.Fatalf("resumed in epoch %d, want %d", got, tc.epoch)
+			}
+		})
+	}
+}

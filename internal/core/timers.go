@@ -21,8 +21,7 @@ import "godcr/internal/stats"
 //	├── fine/fence_wait      cross-shard fence + quiesce barriers
 //	├── fine/analysis        per-op point planning on this shard
 //	├── execute/point        task bodies (inside the CPU semaphore)
-//	├── execute/pull_wire    blocking on remote pull replies
-//	├── execute/push_wire    blocking on producer-pushed pieces
+//	├── execute/pull_wire    blocking on remote pull batches
 //	└── collective           FutureMap.Reduce gathers
 
 // shardTimers is one shard's resolved timer handles.
@@ -33,7 +32,6 @@ type shardTimers struct {
 	fineAn *stats.Timer
 	point  *stats.Timer
 	pull   *stats.Timer
-	push   *stats.Timer
 	coll   *stats.Timer
 }
 
@@ -49,7 +47,6 @@ func newShardTimers(enabled bool) *shardTimers {
 		fineAn: tree.Timer("fine/analysis"),
 		point:  tree.Timer("execute/point"),
 		pull:   tree.Timer("execute/pull_wire"),
-		push:   tree.Timer("execute/push_wire"),
 		coll:   tree.Timer("collective"),
 	}
 }

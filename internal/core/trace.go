@@ -231,16 +231,11 @@ func encodePlans(ti *traceInfo, plans [][]fieldPlan, pts []geom.Point) *traceOpR
 			for _, s := range pl.sources {
 				es := encodedSource{piece: s}
 				es.piece.reds = nil
-				// Push tags are attempt-salted; a replayed occurrence
-				// derives fresh ones (or none), never recorded ones.
-				es.piece.pushTag = 0
 				if !s.fill {
 					es.ref = ti.encodeRef(s.key.Seq)
 				}
 				for _, r := range s.reds {
-					er := encodedRed{pull: r, ref: ti.encodeRef(r.key.Seq)}
-					er.pull.pushTag = 0
-					es.reds = append(es.reds, er)
+					es.reds = append(es.reds, encodedRed{pull: r, ref: ti.encodeRef(r.key.Seq)})
 				}
 				ep.sources = append(ep.sources, es)
 			}

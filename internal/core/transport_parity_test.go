@@ -90,13 +90,13 @@ func loopbackTransports(t *testing.T, n int, codec cluster.PayloadCodec) []*clus
 // hosting one shard over its own TCP endpoint — the in-test equivalent
 // of shards OS processes — and returns each runtime's recorded output
 // and control hash.
-func runOverTCP(t *testing.T, wl parityWorkload, shards int, codec cluster.PayloadCodec, push bool) ([][]float64, [][2]uint64) {
+func runOverTCP(t *testing.T, wl parityWorkload, shards int, codec cluster.PayloadCodec) ([][]float64, [][2]uint64) {
 	t.Helper()
 	trs := loopbackTransports(t, shards, codec)
 	rts := make([]*Runtime, shards)
 	outs := make([]*vecCell, shards)
 	for i := range rts {
-		rts[i] = NewRuntime(Config{Shards: shards, SafetyChecks: true, Transport: trs[i], DataPush: push})
+		rts[i] = NewRuntime(Config{Shards: shards, SafetyChecks: true, Transport: trs[i]})
 		wl.register(rts[i])
 		outs[i] = &vecCell{}
 	}
@@ -140,23 +140,17 @@ func TestTransportParity(t *testing.T) {
 			// encoding. "mem" is the plain in-process fast path;
 			// "mem+gob" / "mem+binary" force every payload through the
 			// named codec via WireEncode; the tcp rows select the wire
-			// codec per endpoint. The "+push" rows flip the data plane
-			// from demand pull to proactive push (Config.DataPush) —
-			// which data protocol moved the bytes must be equally
-			// invisible above the seam.
+			// codec per endpoint.
 			backends := []struct {
 				name  string
 				tcp   bool
-				push  bool
 				codec cluster.PayloadCodec
 			}{
 				{name: "mem"},
 				{name: "mem+gob", codec: cluster.CodecGob},
 				{name: "mem+binary", codec: cluster.CodecBinary},
-				{name: "mem+push", push: true},
 				{name: "tcp+gob", tcp: true, codec: cluster.CodecGob},
 				{name: "tcp+binary", tcp: true, codec: cluster.CodecBinary},
-				{name: "tcp+binary+push", tcp: true, push: true, codec: cluster.CodecBinary},
 			}
 			for _, backend := range backends {
 				for _, shards := range []int{2, 4} {
@@ -166,13 +160,12 @@ func TestTransportParity(t *testing.T) {
 						if !backend.tcp {
 							var out vecCell
 							cfg := Config{Shards: shards, SafetyChecks: true,
-								WireEncode: backend.codec != nil, Codec: backend.codec,
-								DataPush: backend.push}
+								WireEncode: backend.codec != nil, Codec: backend.codec}
 							rt := runProgram(t, cfg, wl.register, wl.build(&out))
 							vals = [][]float64{out.get()}
 							hashes = [][2]uint64{rt.ControlHash()}
 						} else {
-							vals, hashes = runOverTCP(t, wl, shards, backend.codec, backend.push)
+							vals, hashes = runOverTCP(t, wl, shards, backend.codec)
 						}
 						for i := range vals {
 							if hashes[i] != wantHash {
@@ -264,7 +257,7 @@ func TestMultiShardHostingParity(t *testing.T) {
 				t.Fatal("zero baseline control hash")
 			}
 
-			flatVals, flatHashes := runOverTCP(t, wl, 4, nil, false) // 4-over-4, default codec
+			flatVals, flatHashes := runOverTCP(t, wl, 4, nil) // 4-over-4, default codec
 
 			groups := [][]int{{0, 1}, {2, 3}} // 4-over-2
 			trs := groupedTransports(t, groups)

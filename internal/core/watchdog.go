@@ -31,8 +31,9 @@ type ShardProgress struct {
 	CoarseSeq uint64
 	FineSeq   uint64
 	// Blocked reports whether the shard's node is blocked in a
-	// receive; BlockedOn names the protocol (fence barrier,
-	// determinism check, pull, …) and BlockedFor how long.
+	// receive or its tasks on an unanswered pull batch; BlockedOn names
+	// the protocol (fence barrier, determinism check, pull, …) and
+	// BlockedFor how long.
 	Blocked    bool
 	BlockedOn  string
 	BlockedFor time.Duration
@@ -74,18 +75,23 @@ func (e *StallError) Error() string {
 	return b.String()
 }
 
-// shardProgress is the per-shard counter triple the watchdog samples.
+// shardProgress is what the watchdog samples per shard: the counter
+// triple, and the attempt's fetcher — tasks wait for pull batches on
+// events, not in receives, so the fetcher is where an unanswered batch
+// shows.
 type shardProgress struct {
 	api    atomic.Uint64
 	coarse atomic.Uint64
 	fine   atomic.Uint64
+	fetch  atomic.Pointer[fetcher]
 }
 
-// reset zeroes the counters between Execute attempts (Resume).
+// reset clears the shard's progress between Execute attempts (Resume).
 func (p *shardProgress) reset() {
 	p.api.Store(0)
 	p.coarse.Store(0)
 	p.fine.Store(0)
+	p.fetch.Store(nil)
 }
 
 // describeTag names the protocol a wire tag belongs to, for StallError
@@ -204,8 +210,9 @@ func (rt *Runtime) progressSum() uint64 {
 	return sum
 }
 
-// stallSnapshot captures every shard's progress and blocked receive,
-// and reports whether any receive is older than the deadline.
+// stallSnapshot captures every shard's progress and what it has been
+// blocked on longest — a receive or an unanswered pull batch — and
+// reports whether any of those is older than the deadline.
 func (rt *Runtime) stallSnapshot(deadline time.Duration) ([]ShardProgress, bool) {
 	now := time.Now()
 	stalled := false
@@ -229,9 +236,16 @@ func (rt *Runtime) stallSnapshot(deadline time.Duration) ([]ShardProgress, bool)
 				who = fmt.Sprintf("shard %d", from)
 			}
 			sp.BlockedOn = fmt.Sprintf("%s from %s", describeTag(tag), who)
-			if sp.BlockedFor >= deadline {
-				stalled = true
+		}
+		if f := p.fetch.Load(); f != nil {
+			if owner, since, ok := f.oldestBatch(); ok && now.Sub(since) > sp.BlockedFor {
+				sp.Blocked = true
+				sp.BlockedFor = now.Sub(since)
+				sp.BlockedOn = fmt.Sprintf("data pull batch from shard %d", owner)
 			}
+		}
+		if sp.Blocked && sp.BlockedFor >= deadline {
+			stalled = true
 		}
 		if t, ok := rt.clust.LastSeen(cluster.NodeID(s)); ok {
 			sp.HeartbeatAge = now.Sub(t)

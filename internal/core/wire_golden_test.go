@@ -23,15 +23,20 @@ var coreGolden = []struct {
 }{
 	{"pullReq",
 		pullReq{
-			Key:      verKey{Seq: 7, Point: geom.Point{1, 2, 0}, Root: 3, Field: 1},
-			Rect:     geom.Rect{Dim: 2, Lo: geom.Point{0, 0, 0}, Hi: geom.Point{15, 15, 0}},
-			ReplyTag: 0xF1AB, From: 2,
+			Attempt: 0x101, Batch: 5, From: 2,
+			Items: []pullItem{
+				{Key: verKey{Seq: 7, Point: geom.Point{1, 2, 0}, Root: 3, Field: 1},
+					Rect: geom.Rect{Dim: 2, Lo: geom.Point{0, 0, 0}, Hi: geom.Point{15, 15, 0}}},
+				{Key: verKey{Seq: 6, Point: geom.Point{4, 0, 0}, Root: 3, Field: 2},
+					Rect: geom.Rect{Dim: 1, Lo: geom.Point{8, 0, 0}, Hi: geom.Point{8, 0, 0}}},
+			},
 		},
-		"4007000000000000000100000000000000020000000000000000000000000000000300000001000000020000000000000000000000000000000000000000000000000f000000000000000f000000000000000000000000000000abf1000000000000" +
-			"0200000000000000"},
+		"4001010000000000000500000000000000020000000000000002000000" + // tag, attempt, batch, from, count
+			"07000000000000000100000000000000020000000000000000000000000000000300000001000000020000000000000000000000000000000000000000000000000f000000000000000f000000000000000000000000000000" +
+			"0600000000000000040000000000000000000000000000000000000000000000030000000200000001080000000000000000000000000000000000000000000000080000000000000000000000000000000000000000000000"},
 	{"pullResp",
-		pullResp{Vals: []float64{1, 0.5}},
-		"4102000000000000000000f03f000000000000e03f"},
+		pullResp{Attempt: 0x101, Batch: 5, Items: 2, Vals: []float64{1, 0.5}},
+		"41010100000000000005000000000000000200000002000000000000000000f03f000000000000e03f"},
 	{"scalarReq",
 		scalarReq{Seq: 9, Idx: 4, ReplyTag: 0xF2CD, From: 1},
 		"4209000000000000000400000000000000cdf20000000000000100000000000000"},
@@ -135,7 +140,7 @@ func mustAppend(t *testing.T, v any) []byte {
 // pooled TCP send path, encode must not allocate.
 func TestCoreEncodeAllocs(t *testing.T) {
 	buf := make([]byte, 0, 1<<16)
-	var resp any = pullResp{Vals: make([]float64, 1024)}
+	var resp any = pullResp{Attempt: 1, Batch: 1, Items: 8, Vals: make([]float64, 1024)}
 	var fv any = float64(3.25)
 	var cv any = checkVal{A: 1, B: 2, Calls: 3}
 	for name, v := range map[string]any{"pullResp": resp, "future float64": fv, "checkVal": cv} {
@@ -156,7 +161,7 @@ func TestCoreEncodeAllocs(t *testing.T) {
 // count must stay flat — one slice plus one interface box for a pull
 // response, one box for a scalar.
 func TestCoreDecodeAllocs(t *testing.T) {
-	resp := mustAppend(t, pullResp{Vals: make([]float64, 1024)})
+	resp := mustAppend(t, pullResp{Attempt: 1, Batch: 1, Items: 8, Vals: make([]float64, 1024)})
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := cluster.CodecBinary.Decode(resp); err != nil {
 			t.Fatal(err)

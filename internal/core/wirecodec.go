@@ -106,6 +106,9 @@ func appendRedPull(dst []byte, rp redPull) []byte {
 // redPull wire size: rect 49 + key 40 + owner 8 + op 8.
 const redPullWireLen = 49 + 40 + 8 + 8
 
+// pullItem wire size: key 40 + rect 49.
+const pullItemWireLen = 40 + 49
+
 func readRedPull(r *cluster.WireReader) redPull {
 	return redPull{
 		rect:  readRect(r),
@@ -189,32 +192,44 @@ func readFieldPlan(r *cluster.WireReader) fieldPlan {
 const fieldPlanMinWireLen = 8 + 4 + 4 + 4 + 49 + 8 + 8 + 4
 
 func init() {
+	// pullReq: attempt u64 | batch u64 | from i64 | n u32 | n × (key, rect).
 	cluster.RegisterBinaryPayload(wireTagPullReq, pullReq{},
 		func(dst []byte, v any) ([]byte, error) {
 			q := v.(pullReq)
-			dst = appendVerKey(dst, q.Key)
-			dst = appendRect(dst, q.Rect)
-			dst = appendU64(dst, q.ReplyTag)
-			return appendI64(dst, int64(q.From)), nil
+			dst = appendU64(dst, q.Attempt)
+			dst = appendU64(dst, q.Batch)
+			dst = appendI64(dst, int64(q.From))
+			dst = appendU32(dst, uint32(len(q.Items)))
+			for _, it := range q.Items {
+				dst = appendVerKey(dst, it.Key)
+				dst = appendRect(dst, it.Rect)
+			}
+			return dst, nil
 		},
 		func(b []byte) (any, int, error) {
 			r := cluster.WireReader{B: b}
-			q := pullReq{
-				Key:      readVerKey(&r),
-				Rect:     readRect(&r),
-				ReplyTag: r.U64(),
-				From:     int(r.I64()),
+			q := pullReq{Attempt: r.U64(), Batch: r.U64(), From: int(r.I64())}
+			if n := r.Count(pullItemWireLen); n > 0 {
+				q.Items = make([]pullItem, n)
+				for i := range q.Items {
+					q.Items[i] = pullItem{Key: readVerKey(&r), Rect: readRect(&r)}
+				}
 			}
 			return q, r.Off, r.Err()
 		})
 
+	// pullResp: attempt u64 | batch u64 | items u32 | vals (u32 count + f64s).
 	cluster.RegisterBinaryPayload(wireTagPullResp, pullResp{},
 		func(dst []byte, v any) ([]byte, error) {
-			return cluster.AppendFloats(dst, v.(pullResp).Vals), nil
+			p := v.(pullResp)
+			dst = appendU64(dst, p.Attempt)
+			dst = appendU64(dst, p.Batch)
+			dst = appendU32(dst, uint32(p.Items))
+			return cluster.AppendFloats(dst, p.Vals), nil
 		},
 		func(b []byte) (any, int, error) {
 			r := cluster.WireReader{B: b}
-			p := pullResp{Vals: r.Floats()}
+			p := pullResp{Attempt: r.U64(), Batch: r.U64(), Items: int(r.U32()), Vals: r.Floats()}
 			return p, r.Off, r.Err()
 		})
 

@@ -1,8 +1,13 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-supervised multiproc chaos-multiproc chaos-partial chaos-corrupt chaos-partition chaos-jobs stats-smoke bench bench-json bench-smoke bench-compare fuzz
+.PHONY: all fmt build vet test race chaos chaos-supervised multiproc chaos-multiproc chaos-partial chaos-corrupt chaos-partition chaos-jobs stats-smoke bench bench-json bench-smoke bench-compare fuzz
 
-all: vet build test bench-smoke
+all: fmt vet build test bench-smoke
+
+# Formatting gate: fails when any Go file (the bench/ module included)
+# is not gofmt-clean; `gofmt -l .` lists the offenders.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

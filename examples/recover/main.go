@@ -69,7 +69,7 @@ func main() {
 		mu.Unlock()
 	})
 
-	// RunSupervised = Execute → detect → checkpoint → Revive → Resume,
+	// RunSupervised = Execute → detect → checkpoint → Advance → Resume,
 	// with bounded restarts and exponential backoff. OnEvent narrates
 	// each healing step.
 	err := rt.RunSupervised(program, godcr.SupervisorPolicy{

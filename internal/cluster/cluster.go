@@ -51,8 +51,8 @@ type Message struct {
 	// epoch, when epochPin is set, fixes the transport epoch the
 	// message is stamped with (and checked against) instead of the
 	// current one: heartbeats pin their detector's epoch so a beat from
-	// a dead epoch cannot keep a crashed shard looking alive across a
-	// Revive. Inbound frames carry their wire epoch here.
+	// a dead epoch cannot keep a crashed shard looking alive across an
+	// epoch change. Inbound frames carry their wire epoch here.
 	epoch    uint64
 	epochPin bool
 }
@@ -149,13 +149,15 @@ type Cluster struct {
 
 	closed atomic.Bool
 	intr   atomic.Pointer[intrBox]
-	// epoch is the transport generation. Revive bumps it; deliveries
-	// scheduled in an earlier epoch are dropped when their timers fire,
-	// so a healed transport cannot observe pre-crash traffic.
+	// epoch is the transport generation. Advance and Revived move it;
+	// deliveries scheduled in an earlier epoch are dropped when their
+	// timers fire, so a healed transport cannot observe pre-crash traffic.
 	epoch atomic.Uint64
 
-	stopMu     sync.Mutex
-	stop       chan struct{} // per-epoch: closed by Interrupt/Close, replaced by Revive
+	// epochMu serializes the epoch state: every write of epoch, intr and
+	// stop happens under it (reads of the atomics need no lock).
+	epochMu    sync.Mutex
+	stop       chan struct{} // per-epoch: closed by Interrupt/Close, replaced by the epoch reset
 	stopClosed bool
 
 	wg sync.WaitGroup
@@ -333,9 +335,9 @@ func (c *Cluster) Close() {
 	// longer exists anywhere. Skipped after an interrupt (the loops are
 	// already stopped); bounded, and excludes crashed/partitioned peers.
 	if c.faults != nil && len(c.locals) < len(c.nodes) {
-		c.stopMu.Lock()
+		c.epochMu.Lock()
 		interrupted := c.stopClosed
-		c.stopMu.Unlock()
+		c.epochMu.Unlock()
 		if !interrupted {
 			c.faults.drain(2 * time.Second)
 		}
@@ -353,21 +355,25 @@ func (c *Cluster) Close() {
 
 // closeStop closes the current epoch's stop channel exactly once.
 func (c *Cluster) closeStop() {
-	c.stopMu.Lock()
+	c.epochMu.Lock()
+	c.closeStopLocked()
+	c.epochMu.Unlock()
+}
+
+func (c *Cluster) closeStopLocked() {
 	if !c.stopClosed {
 		c.stopClosed = true
 		close(c.stop)
 	}
-	c.stopMu.Unlock()
 }
 
 // stopChan returns the current epoch's stop channel. Long-running
-// transport goroutines (retransmit loops) capture it once; after a
-// Revive the captured channel is the closed one of the dead epoch, so
-// stale loops exit instead of re-sending into the new epoch.
+// transport goroutines (retransmit loops) capture it once; after an
+// epoch reset the captured channel is the closed one of the dead epoch,
+// so stale loops exit instead of re-sending into the new epoch.
 func (c *Cluster) stopChan() chan struct{} {
-	c.stopMu.Lock()
-	defer c.stopMu.Unlock()
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
 	return c.stop
 }
 
@@ -386,10 +392,14 @@ func (c *Cluster) interrupt(err error, propagate bool) {
 	if err == nil {
 		err = ErrInterrupted
 	}
-	if !c.intr.CompareAndSwap(nil, &intrBox{err: err}) {
+	c.epochMu.Lock()
+	if c.intr.Load() != nil {
+		c.epochMu.Unlock()
 		return
 	}
-	c.closeStop()
+	c.intr.Store(&intrBox{err: err})
+	c.closeStopLocked()
+	c.epochMu.Unlock()
 	if propagate {
 		c.tr.Interrupt(err.Error())
 	}
@@ -423,115 +433,100 @@ func (c *Cluster) Err() error {
 // their own events rather than in a Recv learn of the interrupt here.
 func (c *Cluster) Done() <-chan struct{} { return c.stopChan() }
 
-// Epoch returns the current transport epoch (0 until the first Revive).
+// Epoch returns the current transport epoch (0 until the first Advance).
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
-// Revive re-admits every endpoint into a fresh transport epoch after an
-// Interrupt: it clears the interrupt, discards all queued traffic, and
-// resets the fault engine's crash/stall verdicts so a node whose "NIC
-// died" can re-register and exchange messages again. Deliveries still
-// in flight from the dead epoch (latency timers, retransmissions) are
-// dropped when they fire — the epoch check in deliverAfter — so the
-// healed transport starts from a clean slate. Returns the new epoch.
+// Advance heals this process's endpoints past epoch seen — an epoch the
+// caller has observed (never ahead of the one in force), for a failed
+// attempt the epoch it is abandoning — and returns the epoch in force
+// afterwards. A transport healed under the caller is an epoch to join,
+// not an error, so Advance is idempotent:
 //
-// Revive does not resurrect a Closed cluster, and the caller must
-// ensure no goroutine is still using the transport for live work (the
-// runtime above guarantees this: Revive runs between Execute attempts,
-// after every shard has unwound).
-func (c *Cluster) Revive() (uint64, error) {
+//   - healthy: nothing to heal. At seen that is a no-op; past seen a
+//     peer's revive already reached Revived, which did the reset.
+//   - interrupted past seen: join the epoch in force. The interrupt is
+//     lifted, but that epoch's queued traffic and reliable-link state
+//     stay: they were reset when this process adopted it and now carry
+//     its peers' live attempts.
+//   - interrupted at seen: mint seen+1 (the reset: clear the interrupt,
+//     discard the dead epoch's queued traffic, reset the fault engine)
+//     and run the transport's revive barrier. Deliveries still in
+//     flight from the dead epoch (latency timers, retransmissions) are
+//     dropped when they fire, by the epoch check in deliverAfter.
+//
+// The decision and the reset happen under epochMu, which every epoch
+// transition and interrupt takes, so a peer's Revived either lands
+// first (and this call joins it) or after (and finds its epoch already
+// in force): nothing can slip between observing the interrupt and
+// acting on it.
+//
+// Advance does not resurrect a Closed cluster (ErrClosed), and the
+// caller must ensure no goroutine is still using the transport for live
+// work (the runtime above guarantees this: Advance runs between
+// Execute attempts, after every shard has unwound).
+func (c *Cluster) Advance(seen uint64) (uint64, error) {
 	if c.closed.Load() {
 		return 0, ErrClosed
-	}
-	if c.Err() == nil {
-		return 0, fmt.Errorf("cluster: revive requires an interrupted transport")
 	}
 	// Join stale retransmit loops while the interrupt still poisons
 	// delivery: a loop that fired its timer must not transmit after the
 	// interrupt clears, or dead-epoch traffic would leak into the new
 	// epoch.
-	if c.faults != nil {
+	if c.faults != nil && c.Err() != nil {
 		c.faults.loops.Wait()
 	}
-	c.stopMu.Lock()
-	if c.stopClosed {
-		c.stop = make(chan struct{})
-		c.stopClosed = false
+	c.epochMu.Lock()
+	epoch := c.epoch.Load()
+	poisoned := c.intr.Load() != nil
+	mint := poisoned && epoch <= seen
+	if mint {
+		epoch++
 	}
-	c.stopMu.Unlock()
-	cur := c.epoch.Load()
-	if !c.epoch.CompareAndSwap(cur, cur+1) {
-		// A remote peer's revive raced this call: Revived already
-		// adopted a newer epoch and performed the reset below. Join the
-		// winner rather than minting a competing epoch.
-		return c.epoch.Load(), nil
+	if poisoned {
+		c.resetLocked(epoch)
 	}
-	epoch := cur + 1
-	c.intr.Store(nil)
-	for _, n := range c.nodes {
-		n.mu.Lock()
-		n.pending = make(map[matchKey][]queuedMsg)
-		n.cond.Broadcast()
-		n.mu.Unlock()
-	}
-	if c.faults != nil {
-		c.faults.revive()
+	c.epochMu.Unlock()
+	if !mint {
+		return epoch, nil
 	}
 	// The transport-level revive barrier: on remote backends this blocks
 	// until every peer has adopted the epoch and acked, so traffic sent
-	// after Revive returns cannot be destroyed by a peer's late wipe.
+	// after Advance returns cannot be destroyed by a peer's late wipe.
 	if err := c.tr.Revive(epoch); err != nil {
 		return epoch, fmt.Errorf("cluster: revive: %w", err)
 	}
 	return epoch, nil
 }
 
-// Rejoin heals an interrupted transport by adopting the epoch the
-// cluster has already agreed on, when that epoch is newer than `since`
-// (the epoch of this process's failed attempt). It performs the same
-// local reset as a remote-driven Revived — clear the interrupt, wipe
-// queued traffic, reset fault verdicts — but mints no new epoch and
-// runs no barrier: some peer's Revive already did both, and its
-// barrier included this process's transport-level ack. Returns false
-// (and does nothing) when the epoch has not moved past `since`, when
-// the transport is healthy, or when it is closed — the caller falls
-// back to a full Revive.
-//
-// This is what lets a cluster-wide failure wave converge instead of
-// storm: exactly one process mints the recovery epoch (the one whose
-// failed attempt ran in the current epoch), and every other process
-// rejoins it, rather than each resume minting its own epoch and
-// perpetually superseding the others' fresh attempts.
-func (c *Cluster) Rejoin(since uint64) (uint64, bool) {
-	if c.closed.Load() || c.Err() == nil {
-		return c.epoch.Load(), false
+// resetLocked is the epoch reset, shared by Advance and the remote-driven
+// Revived. When epoch is newer than the one in force it adopts it,
+// discarding the dead epoch's queued traffic and resetting the fault
+// engine (so a node whose "NIC died" can re-register and exchange
+// messages again); then it installs a fresh stop channel and clears the
+// interrupt. The wipe runs once per epoch this process adopts — only a
+// transition to a newer epoch performs it — and never touches traffic
+// of the epoch in force: the switch comes first, so Deliver's epoch
+// gate refuses the dead epoch's frames from then on, and the interrupt
+// clears last, so no local send lands in the new epoch before its
+// queues are clean. Caller holds epochMu.
+func (c *Cluster) resetLocked(epoch uint64) {
+	if epoch > c.epoch.Load() {
+		c.epoch.Store(epoch)
+		for _, n := range c.nodes {
+			n.mu.Lock()
+			n.pending = make(map[matchKey][]queuedMsg)
+			n.cond.Broadcast()
+			n.mu.Unlock()
+		}
+		if c.faults != nil {
+			c.faults.revive()
+		}
 	}
-	cur := c.epoch.Load()
-	if cur <= since {
-		return cur, false
-	}
-	// Join stale retransmit loops before clearing the interrupt, as
-	// Revive does: a fired timer must not transmit into the epoch we
-	// are adopting.
-	if c.faults != nil {
-		c.faults.loops.Wait()
-	}
-	c.stopMu.Lock()
 	if c.stopClosed {
 		c.stop = make(chan struct{})
 		c.stopClosed = false
 	}
-	c.stopMu.Unlock()
 	c.intr.Store(nil)
-	for _, n := range c.nodes {
-		n.mu.Lock()
-		n.pending = make(map[matchKey][]queuedMsg)
-		n.cond.Broadcast()
-		n.mu.Unlock()
-	}
-	if c.faults != nil {
-		c.faults.revive()
-	}
-	return c.epoch.Load(), true
 }
 
 // SyncEpoch rendezvouses with remote peer processes on the newest
@@ -579,40 +574,16 @@ func (c *Cluster) Interrupted(reason string) {
 }
 
 // Revived implements Sink: a remote process revived the transport into
-// a new epoch. Adopt it — clear the interrupt, discard queued traffic,
-// and reset fault verdicts — mirroring the local half of Revive. On the
+// a new epoch. Adopt it through the same reset Advance performs. On the
 // TCP backend this adoption runs on the inbound read loop *before* the
 // revive ack returns to the reviver, so when the reviver's barrier
 // releases, every peer's dead-epoch queues are already wiped and late
 // frames from the dead epoch stay dropped by the epoch gate in Deliver.
 func (c *Cluster) Revived(epoch uint64) {
-	if c.closed.Load() {
-		return
-	}
-	for {
-		cur := c.epoch.Load()
-		if epoch <= cur {
-			return
-		}
-		if c.epoch.CompareAndSwap(cur, epoch) {
-			break
-		}
-	}
-	c.stopMu.Lock()
-	if c.stopClosed {
-		c.stop = make(chan struct{})
-		c.stopClosed = false
-	}
-	c.stopMu.Unlock()
-	c.intr.Store(nil)
-	for _, n := range c.nodes {
-		n.mu.Lock()
-		n.pending = make(map[matchKey][]queuedMsg)
-		n.cond.Broadcast()
-		n.mu.Unlock()
-	}
-	if c.faults != nil {
-		c.faults.revive()
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	if !c.closed.Load() && epoch > c.epoch.Load() {
+		c.resetLocked(epoch)
 	}
 }
 
@@ -626,7 +597,7 @@ var (
 	ErrTimeout = fmt.Errorf("cluster: receive timed out")
 	// ErrBadPayload wraps payloads that fail wire encoding.
 	ErrBadPayload = fmt.Errorf("cluster: bad payload")
-	// ErrReviveTimeout is returned (wrapped) by Revive when a remote
+	// ErrReviveTimeout is returned (wrapped) by Advance when a remote
 	// peer never acknowledged the new epoch within the barrier window —
 	// typically a dead worker process that has not been respawned yet.
 	ErrReviveTimeout = fmt.Errorf("cluster: revive barrier timed out")
@@ -846,8 +817,8 @@ func (n *Node) deliver(msg Message) {
 		// Heartbeats never reach the queues or handlers; they only feed
 		// the failure detector's arrival history — and only the detector
 		// of the epoch they were beaten in: a beat from a dead epoch
-		// must not keep a crashed shard looking alive across a Revive,
-		// and a fresh beat must not refresh a stale detector.
+		// must not keep a crashed shard looking alive across an epoch
+		// change, and a fresh beat must not refresh a stale detector.
 		if hb := n.c.hb.Load(); hb != nil && msg.epoch == hb.epoch {
 			hb.observe(msg.From, n.id)
 		}

@@ -76,8 +76,8 @@ var CodecGob PayloadCodec = gobCodec{}
 var CodecBinary PayloadCodec = binaryCodec{}
 
 var (
-	codecMu  sync.RWMutex
-	codecs   = map[byte]PayloadCodec{codecIDGob: CodecGob, codecIDBinary: CodecBinary}
+	codecMu sync.RWMutex
+	codecs  = map[byte]PayloadCodec{codecIDGob: CodecGob, codecIDBinary: CodecBinary}
 )
 
 // RegisterCodec makes a custom codec decodable by ID on this endpoint.

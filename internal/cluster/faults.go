@@ -115,7 +115,7 @@ type StallWindow struct {
 // Duration after triggering; Duration 0 never heals (the permanent
 // partition of conviction tests). Unlike crash/stall verdicts a
 // partition is a property of the network, not of an endpoint, so
-// Revive does NOT heal it: a restarted attempt inside the window keeps
+// Advance does NOT heal it: a restarted attempt inside the window keeps
 // failing until the window expires, which is exactly the retry-until-
 // heal convergence the supervisor must exhibit.
 type PartitionWindow struct {
@@ -566,7 +566,7 @@ func (f *faultState) retransmitLoop(l *relLink, p *relPending) {
 	backoff := f.plan.RetransmitBase
 	timer := time.NewTimer(backoff)
 	defer timer.Stop()
-	// Capture this epoch's stop channel: after a Revive the channel is
+	// Capture this epoch's stop channel: after an epoch reset it is
 	// the closed one of the epoch this loop belongs to, so the loop
 	// exits instead of retransmitting stale traffic into the new epoch.
 	stop := f.c.stopChan()

@@ -93,7 +93,7 @@ type hbState struct {
 	grace time.Duration
 	// epoch is the transport epoch this detector was started in; every
 	// beat it emits is pinned to it, and Node.deliver only feeds it
-	// beats from the same epoch. A detector that outlives a Revive
+	// beats from the same epoch. A detector that outlives an Advance
 	// (stopped a beat later by the unwinding attempt) can therefore
 	// neither mint fresh-looking beats into the new epoch nor consume
 	// the new epoch's beats into stale arrival histories.

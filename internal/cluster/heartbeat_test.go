@@ -206,10 +206,10 @@ func TestHeartbeatStaleEpochDropped(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Revive into epoch 1 while the epoch-0 detector keeps beating.
+	// Advance into epoch 1 while the epoch-0 detector keeps beating.
 	c.Interrupt(errors.New("shard down"))
-	if _, err := c.Revive(); err != nil {
-		t.Fatalf("Revive: %v", err)
+	if _, err := c.Advance(0); err != nil {
+		t.Fatalf("Advance: %v", err)
 	}
 	t1, _ := c.LastSeen(0)
 	time.Sleep(20 * time.Millisecond) // ~20 beat intervals in the dead epoch

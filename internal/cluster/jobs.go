@@ -107,7 +107,7 @@ func (j *JobCtl) Interrupt(err error) {
 
 // Clear re-arms the job after a failed attempt has fully unwound. The
 // underlying transport was never poisoned, so unlike the cluster-wide
-// Revive there is no epoch to mint and no queues to wipe: stale
+// Advance there is no epoch to mint and no queues to wipe: stale
 // traffic from the dead attempt is already isolated by the attempt
 // salt in the tags.
 func (j *JobCtl) Clear() { j.intr.Store(nil) }

@@ -252,25 +252,26 @@ func waitInterrupted(t *testing.T, cs []*Cluster) {
 	}
 }
 
-// TestTCPReviveBarrier: Revive over TCP is an acked barrier, not a
-// best-effort broadcast. When it returns, every peer process has
-// already adopted the new epoch (clearing its interrupt and wiping its
-// dead-epoch queues), so traffic sent immediately afterwards flows.
+// TestTCPReviveBarrier: minting an epoch over TCP (Advance on an
+// interrupted transport) runs an acked barrier, not a best-effort
+// broadcast. When it returns, every peer process has already adopted
+// the new epoch (clearing its interrupt and wiping its dead-epoch
+// queues), so traffic sent immediately afterwards flows.
 func TestTCPReviveBarrier(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
 	cs := tcpClusters(t, 3, Config{})
 	cs[0].Interrupt(fmt.Errorf("shard down"))
 	waitInterrupted(t, cs)
 
-	epoch, err := cs[0].Revive()
+	epoch, err := cs[0].Advance(0)
 	if err != nil {
-		t.Fatalf("Revive: %v", err)
+		t.Fatalf("Advance: %v", err)
 	}
 	if epoch != 1 {
-		t.Fatalf("Revive epoch = %d, want 1", epoch)
+		t.Fatalf("Advance epoch = %d, want 1", epoch)
 	}
 	// The barrier guarantee: no polling, no settling sleep — by the time
-	// Revive returned, every peer is in the new epoch with a clean slate.
+	// Advance returned, every peer is in the new epoch with a clean slate.
 	for i, c := range cs {
 		if got := c.Epoch(); got != 1 {
 			t.Fatalf("cluster %d epoch = %d immediately after the barrier, want 1", i, got)
@@ -318,9 +319,9 @@ func TestTCPReviveBarrierTimeout(t *testing.T) {
 	c.Interrupt(fmt.Errorf("shard down"))
 
 	start := time.Now()
-	_, err = c.Revive()
+	_, err = c.Advance(0)
 	if !errors.Is(err, ErrReviveTimeout) {
-		t.Fatalf("Revive = %v, want ErrReviveTimeout", err)
+		t.Fatalf("Advance = %v, want ErrReviveTimeout", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("barrier took %v, want ~ReviveTimeout", d)
@@ -356,8 +357,8 @@ func TestTCPEpochSyncRejoin(t *testing.T) {
 
 	c0.Interrupt(fmt.Errorf("shard down"))
 	waitInterrupted(t, []*Cluster{c0, c1})
-	if _, err := c0.Revive(); err != nil {
-		t.Fatalf("Revive: %v", err)
+	if _, err := c0.Advance(0); err != nil {
+		t.Fatalf("Advance: %v", err)
 	}
 
 	// Process 1 dies and is replaced by a fresh one on the same address.

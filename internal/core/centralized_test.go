@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"godcr/internal/cluster"
 	"godcr/internal/geom"
 	"godcr/internal/instance"
 	"godcr/internal/mapper"
@@ -109,4 +111,17 @@ func TestCentralizedStatsShowBottleneck(t *testing.T) {
 		// (They are recorded for introspection only.)
 		t.Logf("centralized fence records: %d (informational)", central.FencesInserted)
 	}
+}
+
+// TestCentralizedWireEncodeGobPanics: left unset, the codec under
+// Centralized WireEncode is the binary one (the parity matrix's
+// central+wire row); gob, asked for by name, cannot carry task plans
+// and is refused up front.
+func TestCentralizedWireEncodeGobPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "requires Codec: cluster.CodecBinary") {
+			t.Fatalf("recover() = %v, want the CodecBinary panic", r)
+		}
+	}()
+	NewRuntime(Config{Shards: 2, Centralized: true, WireEncode: true, Codec: cluster.CodecGob})
 }

@@ -58,10 +58,12 @@ type Config struct {
 	WireEncode bool
 	// Codec selects the payload codec WireEncode round-trips through
 	// on the in-process backend: nil means cluster.CodecGob (the
-	// historical behavior), cluster.CodecBinary exercises the same
-	// hand-rolled encodings the TCP backend defaults to. Remote
-	// backends ignore this field — pick the wire codec with
-	// cluster.TCPOptions.Codec instead.
+	// historical behavior) under replicated control and
+	// cluster.CodecBinary under Centralized, whose task plans carry
+	// fields gob cannot encode (an explicit CodecGob there panics).
+	// cluster.CodecBinary exercises the same hand-rolled encodings the
+	// TCP backend defaults to. Remote backends ignore this field —
+	// pick the wire codec with cluster.TCPOptions.Codec instead.
 	Codec cluster.PayloadCodec
 	// SafetyChecks enables the control-determinism verification
 	// (paper §3). Fig. 21's "Safe" configurations.
@@ -188,6 +190,9 @@ func (c Config) withDefaults() Config {
 	}
 	if !c.Centralized && !c.Mapper.ReplicateControl() {
 		c.Centralized = true
+	}
+	if c.Centralized && c.WireEncode && c.Codec == nil {
+		c.Codec = cluster.CodecBinary
 	}
 	return c
 }
@@ -336,8 +341,8 @@ type Runtime struct {
 	lastPlan atomic.Pointer[partialPlan]
 
 	// lastEpoch is the transport epoch the most recent attempt ran in:
-	// the floor a resume that found itself superseded passes to Rejoin
-	// (see the heal step in execute for mint versus rejoin).
+	// the epoch a resume that found itself superseded passes to Advance
+	// (see the heal step in execute for mint versus join).
 	lastEpoch atomic.Uint64
 
 	// localShards lists the shard ids this process drives, ascending;
@@ -698,44 +703,43 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 		// out full, the buffers cost nothing and the next attempt may
 		// need them.
 		rt.capturePartialRetention()
-		// Heal the transport first: re-admit crashed endpoints into a
-		// new epoch and discard dead-epoch traffic. A healthy transport
-		// needs no healing — a checkpoint loaded from disk into a fresh
-		// process (Config.CheckpointDir) resumes in the current epoch.
-		// When the failed attempt found itself superseded — the cluster
-		// had moved to a newer epoch under it and it poisoned only its own
-		// endpoints to unwind — adopt that epoch (Rejoin) instead of
-		// minting yet another: the peers are healthy in it. Any other
-		// poison means the current epoch is the one being abandoned, even
-		// when it is newer than the failed attempt's: a peer's abort
-		// relayed into it reaches a lagging process first, and a laggard
-		// that rejoined it would trail the cluster by one epoch for ever,
-		// convicted once per round by a detector that cannot hear it.
-		// Minting is safe from any number of processes at once: they all
-		// mint the same successor. A process's first attempt always mints
-		// — a reborn process must force the fresh-epoch rendezvous its
-		// rebirth announced.
+		// Heal the transport first (Cluster.Advance): re-admit crashed
+		// endpoints into a new epoch and discard dead-epoch traffic. A
+		// transport healed under this call — a peer's revive reached it
+		// first, or it was never poisoned, as when a checkpoint loaded
+		// from disk into a fresh process (Config.CheckpointDir) resumes —
+		// is an epoch to join, not an error. What the resume has seen
+		// decides between minting and joining. When the failed attempt
+		// found itself superseded — the cluster had moved to a newer
+		// epoch under it and it poisoned only its own endpoints to
+		// unwind — it has seen only its own epoch, so it joins the newer
+		// one: the peers are healthy in it. Any other poison means the
+		// epoch in force is the one being abandoned, even when it is
+		// newer than the failed attempt's: a peer's abort relayed into it
+		// reaches a lagging process first, and a laggard that joined it
+		// would trail the cluster by one epoch for ever, convicted once
+		// per round by a detector that cannot hear it. Minting is safe
+		// from any number of processes at once: they all mint the same
+		// successor. A process's first attempt never counts as
+		// superseded — a reborn process must force the fresh-epoch
+		// rendezvous its rebirth announced.
 		//
 		// A scoped job's failures never poison the shared transport, so
 		// normally there is nothing to heal; if a cluster-wide fault
 		// (a legacy job's abort, AnnounceRebirth) did poison it, the
 		// host heals it once on behalf of all resuming jobs.
-		if rt.clust.Err() != nil {
-			if scoped {
-				if err := rt.host.heal(); err != nil {
-					return fmt.Errorf("core: resume: %w", err)
-				}
-			} else {
-				joined := false
-				if rt.attempt.Load() > 1 && errors.Is(rt.clust.Err(), errSuperseded) {
-					epoch, joined = rt.clust.Rejoin(rt.lastEpoch.Load())
-				}
-				if !joined {
-					var err error
-					if epoch, err = rt.clust.Revive(); err != nil {
-						return fmt.Errorf("core: resume: %w", err)
-					}
-				}
+		if scoped {
+			if err := rt.host.heal(); err != nil {
+				return fmt.Errorf("core: resume: %w", err)
+			}
+		} else {
+			seen := rt.clust.Epoch()
+			if rt.attempt.Load() > 1 && errors.Is(rt.clust.Err(), errSuperseded) {
+				seen = rt.lastEpoch.Load()
+			}
+			var err error
+			if epoch, err = rt.clust.Advance(seen); err != nil {
+				return fmt.Errorf("core: resume: %w", err)
 			}
 		}
 		// Fresh abort state and progress counters for the new attempt;
@@ -776,7 +780,7 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 		// processes on the newest transport epoch before anything runs.
 		// A reborn process adopts the survivors' epoch here (so its
 		// JoinEpoch barrier and tag salts agree with theirs); a survivor
-		// whose own Revive lost the race picks up the winner's epoch.
+		// whose own Advance lost the race picks up the winner's epoch.
 		epoch = rt.clust.SyncEpoch(0)
 	}
 	salt := rt.attempt.Load()

@@ -68,7 +68,7 @@ type Host struct {
 	hbStop func()
 	hbSubs map[*Runtime]func(*cluster.ShardDownError)
 
-	// healMu serializes whole-transport healing (Revive) across jobs
+	// healMu serializes whole-transport healing (Advance) across jobs
 	// resuming concurrently after a cluster-wide fault.
 	healMu sync.Mutex
 }
@@ -77,7 +77,7 @@ type Host struct {
 // the transport: Shutdown closes it.
 func NewHost(cfg Config) *Host {
 	cfg = cfg.withDefaults()
-	if cfg.Centralized && cfg.WireEncode && (cfg.Codec == nil || cfg.Codec.ID() == cluster.CodecGob.ID()) {
+	if cfg.Centralized && cfg.WireEncode && cfg.Codec.ID() == cluster.CodecGob.ID() {
 		// Task plans carry unexported fields that gob silently drops;
 		// the binary codec encodes them natively (see wirecodec.go).
 		panic("core: Centralized WireEncode requires Codec: cluster.CodecBinary")
@@ -311,16 +311,13 @@ func (h *Host) fanoutShardDown(e *cluster.ShardDownError) {
 
 // heal recovers a cluster-wide transport poisoning (a legacy job's
 // abort broadcast, AnnounceRebirth) on behalf of a scoped job about to
-// resume: exactly one concurrent caller revives, the rest observe the
-// healthy transport and proceed. Job-scoped aborts never need this —
-// they poison only their JobCtl.
+// resume: exactly one concurrent caller mints the next epoch, the rest
+// find the transport healthy and proceed. Job-scoped aborts never need
+// this — they poison only their JobCtl.
 func (h *Host) heal() error {
 	h.healMu.Lock()
 	defer h.healMu.Unlock()
-	if h.clust.Err() == nil {
-		return nil
-	}
-	if _, err := h.clust.Revive(); err != nil {
+	if _, err := h.clust.Advance(h.clust.Epoch()); err != nil {
 		return fmt.Errorf("core: heal: %w", err)
 	}
 	return nil

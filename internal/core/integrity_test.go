@@ -127,7 +127,7 @@ func TestTCPCorruptParity(t *testing.T) {
 // network partition mid-run: the phi-accrual detector convicts the
 // unreachable shard, the supervisor revives and retries, and once the
 // window heals the run converges to bit-identical outputs. Partitions
-// deliberately survive Revive (the network is broken, not the process),
+// deliberately survive Advance (the network is broken, not the process),
 // so convergence proves the retry loop rides out the whole window.
 func TestPartitionSupervisedConvergence(t *testing.T) {
 	const ncells, ntiles, nsteps = 64, 4, 6

@@ -235,7 +235,7 @@ func (rt *Runtime) decideRestartScope(rs *runState, epoch uint64) *partialPlan {
 			// attempt is stale (its collectives and detector are deaf to
 			// the new epoch). Abort locally — recoverable, and without a
 			// broadcast that would kill the peers' healthy attempts —
-			// and resume into the newer epoch via Rejoin.
+			// and resume into the newer epoch by joining it (Advance).
 			rt.abortLocalOn(rs, fmt.Errorf("%w: %w (epoch %d by %d, during the restart-scope exchange)",
 				cluster.ErrInterrupted, errSuperseded, epoch, cur))
 			return &partialPlan{}

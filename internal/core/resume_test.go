@@ -157,7 +157,7 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal("Resume with mismatched shard count succeeded")
 	}
 	// A nil program cannot be resumed (the transport stays healthy, so
-	// this exercises the no-Revive resume path too).
+	// this exercises the no-op Advance resume path too).
 	if err := jrt.Resume(&Checkpoint{Shards: 2, Journal: newJournal()}, nil); err == nil {
 		t.Fatal("Resume with a nil program succeeded")
 	}
@@ -193,8 +193,8 @@ func TestResumeMintsUnlessSuperseded(t *testing.T) {
 			}
 			cp := rt.buildCheckpoint()
 			rt.clust.Interrupt(nil)
-			if epoch, err := rt.clust.Revive(); err != nil || epoch != 1 {
-				t.Fatalf("Revive = %d, %v", epoch, err)
+			if epoch, err := rt.clust.Advance(0); err != nil || epoch != 1 {
+				t.Fatalf("Advance(0) = %d, %v", epoch, err)
 			}
 			tc.poison(rt.clust)
 			if err := rt.Resume(cp, program); err != nil {

@@ -12,7 +12,7 @@ import (
 
 // The supervisor closes the self-healing loop. PR-era recovery was
 // manual: the user caught a *StallError, decoded its checkpoint, and
-// called Revive+Resume by hand. RunSupervised runs that state machine
+// called Resume by hand. RunSupervised runs that state machine
 // automatically:
 //
 //	Execute ──ok──▶ done
@@ -146,7 +146,7 @@ func (e *SupervisorError) Unwrap() error {
 }
 
 // RunSupervised executes the program under automatic recovery:
-// Execute → detect (heartbeat, watchdog, or divergence vote) → Revive →
+// Execute → detect (heartbeat, watchdog, or divergence vote) → Advance →
 // Resume, with bounded restarts and exponential backoff, until the run
 // completes or the policy is exhausted. On success it returns nil and
 // the run's outputs (and ControlHash) are bit-identical to a fault-free

@@ -35,7 +35,7 @@ func referenceRun(t *testing.T, register func(*Runtime), program Program) [2]uin
 
 // TestSupervisorConvergence is the self-healing chaos soak: crash a
 // seeded-random shard at a seeded-random point mid-run and demand
-// RunSupervised (heartbeat detection → checkpoint → Revive → Resume)
+// RunSupervised (heartbeat detection → checkpoint → Advance → Resume)
 // converges to outputs and a control hash bit-identical to the
 // fault-free run — recovery is deterministic replay, not
 // approximation.

@@ -140,15 +140,18 @@ func TestTransportParity(t *testing.T) {
 			// encoding. "mem" is the plain in-process fast path;
 			// "mem+gob" / "mem+binary" force every payload through the
 			// named codec via WireEncode; the tcp rows select the wire
-			// codec per endpoint.
+			// codec per endpoint. "central+wire" is the no-replication
+			// baseline under WireEncode with the codec left unset.
 			backends := []struct {
-				name  string
-				tcp   bool
-				codec cluster.PayloadCodec
+				name    string
+				tcp     bool
+				central bool
+				codec   cluster.PayloadCodec
 			}{
 				{name: "mem"},
 				{name: "mem+gob", codec: cluster.CodecGob},
 				{name: "mem+binary", codec: cluster.CodecBinary},
+				{name: "central+wire", central: true},
 				{name: "tcp+gob", tcp: true, codec: cluster.CodecGob},
 				{name: "tcp+binary", tcp: true, codec: cluster.CodecBinary},
 			}
@@ -159,8 +162,8 @@ func TestTransportParity(t *testing.T) {
 						var hashes [][2]uint64
 						if !backend.tcp {
 							var out vecCell
-							cfg := Config{Shards: shards, SafetyChecks: true,
-								WireEncode: backend.codec != nil, Codec: backend.codec}
+							cfg := Config{Shards: shards, SafetyChecks: true, Centralized: backend.central,
+								WireEncode: backend.codec != nil || backend.central, Codec: backend.codec}
 							rt := runProgram(t, cfg, wl.register, wl.build(&out))
 							vals = [][]float64{out.get()}
 							hashes = [][2]uint64{rt.ControlHash()}
